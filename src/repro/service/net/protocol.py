@@ -231,6 +231,9 @@ class WireFit:
         tag = payload.get("tag", "")
         if not isinstance(tag, str):
             raise ProtocolError("tag must be a string")
+        deadline_ms = _optional_number(payload.get("deadline_ms"), "deadline_ms")
+        if deadline_ms is not None and not deadline_ms > 0.0:
+            raise ProtocolError("deadline_ms must be a positive number or null")
         return cls(
             times=times,
             measurements=measurements,
@@ -241,7 +244,7 @@ class WireFit:
             seed=seed,
             config=config,
             priority=priority,
-            deadline_ms=_optional_number(payload.get("deadline_ms"), "deadline_ms"),
+            deadline_ms=deadline_ms,
             tag=tag,
             include_diagnostics=bool(payload.get("include_diagnostics", False)),
         )

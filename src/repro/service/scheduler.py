@@ -16,15 +16,9 @@ plus one row of a batched solve, while every response stays bit-identical
 (to 1e-10) to a direct :meth:`~repro.core.deconvolver.Deconvolver.fit`
 call (the session layer's tested guarantee).
 
-Batches execute through one of two *runners*.  The default thread runner
-solves in-process on a thread pool — zero setup cost, but GIL-bound: one hot
-shard tops out at roughly one core.  ``runner="process"`` (or
-``REPRO_RUNNER=process``) routes coalesced batches to a
-:class:`~repro.service.workers.ShardWorkerPool` of pinned worker processes
-with shared-memory handoff, so concurrent batches — even of a single hot
-shard — solve on separate cores against per-worker session replicas.  The
-breaker/retry/degraded machinery stays parent-side and identical across
-runners; a dead worker is just one more transient failure.
+Batches execute in-process on a thread pool: each shard's batches drain on
+one runner thread that holds the shard's pool lease, so concurrent batches of
+one shard serialize on its session while different shards run side by side.
 
 The scheduler is SLO-aware and failure-contained:
 
@@ -62,7 +56,6 @@ stopping; ``drain=False`` cancels whatever has not been dispatched yet.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -85,7 +78,6 @@ from repro.service.faults import FaultPlan
 from repro.service.pool import SessionPool
 from repro.service.robustness import AdaptiveWindow, CircuitBreaker, RetryPolicy
 from repro.service.telemetry import Telemetry
-from repro.service.workers import ShardWorkerPool, ensure_picklable
 from repro.utils.rng import SeedLike
 
 __all__ = ["DEFAULT_CONFIG_KEY", "FitRequest", "MicroBatchScheduler"]
@@ -113,7 +105,7 @@ class FitRequest:
       already exceeds it, and the solve path drops it with
       :class:`~repro.service.errors.DeadlineExceeded` if it ages out before
       its solve starts.  ``None`` means no deadline (never shed, never
-      dropped).
+      dropped); any other value must be positive (``ValueError``).
 
     Both hints steer *scheduling only*: they are excluded from
     :meth:`batch_key` and :meth:`fingerprint`, so mixed-priority traffic
@@ -130,6 +122,10 @@ class FitRequest:
     config: Hashable = DEFAULT_CONFIG_KEY
     priority: int = 0
     deadline_ms: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.deadline_ms is not None and not float(self.deadline_ms) > 0.0:
+            raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms!r}")
 
     def batch_key(self) -> tuple:
         """Coalescing key: requests sharing it solve as one stacked batch.
@@ -183,44 +179,6 @@ def _make_item(request: FitRequest, future: Future, now: float, cache_key) -> _Q
     return _QueuedItem(request, future, now, cache_key, deadline_at)
 
 
-class _ShardLease:
-    """Lazy pool lease standing in for a :class:`PoolEntry` (process runner).
-
-    The process runner solves in worker processes, which own their own
-    session replicas — the parent-side session is only needed when the
-    degraded path runs.  This proxy exposes the ``key``/``lock``/
-    ``deconvolver`` surface ``_run_batch`` touches but acquires the actual
-    pool entry on first session access (with the scheduler's retry policy),
-    so the common fast path never builds or leases a parent session.
-    """
-
-    __slots__ = ("_scheduler", "_entry", "key")
-
-    def __init__(self, scheduler: "MicroBatchScheduler", key: Hashable) -> None:
-        self._scheduler = scheduler
-        self._entry = None
-        self.key = key
-
-    @property
-    def entry(self):
-        if self._entry is None:
-            self._entry = self._scheduler._acquire_entry_with_retry(self.key)
-        return self._entry
-
-    @property
-    def lock(self):
-        return self.entry.lock
-
-    @property
-    def deconvolver(self):
-        return self.entry.deconvolver
-
-    def release(self) -> None:
-        if self._entry is not None:
-            self._scheduler.pool.release(self._entry)
-            self._entry = None
-
-
 class MicroBatchScheduler:
     """Coalesce concurrent fit requests into stacked multi-RHS solves.
 
@@ -241,21 +199,9 @@ class MicroBatchScheduler:
         (backpressure) until the batcher catches up.
     workers:
         Size of the solve worker pool; defaults to
-        :func:`repro.config.default_pool_size` for an unbounded task count
-        of the runner's pool kind.  Under the thread runner batches for one
-        shard serialize on the shard lock, so workers buy parallelism
-        across shards; under the process runner every worker owns its own
-        session replicas and even a single hot shard fans out.
-    runner:
-        ``"thread"`` (default) solves batches in-process;``"process"``
-        dispatches them to a :class:`~repro.service.workers.ShardWorkerPool`
-        of spawned worker processes (true multi-core).  ``None`` consults
-        the environment variable named by :data:`repro.config.RUNNER_ENV_VAR`
-        at construction time.  The process runner needs a picklable pool
-        factory (:class:`~repro.service.pool.SessionFactory`): an explicit
-        ``runner="process"`` with an unpicklable factory raises
-        ``ValueError``, while an environment-selected one falls back to the
-        thread runner and counts a ``runner_fallbacks`` telemetry event.
+        :func:`repro.config.default_pool_size` for an unbounded task count.
+        Batches for one shard serialize on the shard lock, so workers buy
+        parallelism across shards.
     cache:
         Result cache; defaults to a fresh 1024-entry
         :class:`~repro.service.cache.ResultCache`.  Pass ``ResultCache(0)``
@@ -291,7 +237,6 @@ class MicroBatchScheduler:
         max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         workers: int | None = None,
-        runner: str | None = None,
         cache: ResultCache | None = None,
         telemetry: Telemetry | None = None,
         retry: RetryPolicy | None = None,
@@ -317,37 +262,9 @@ class MicroBatchScheduler:
         self.fault_plan = fault_plan
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_reset_s = float(breaker_reset_s)
-        requested_runner = runner
-        if runner is None:
-            runner = os.environ.get(config.RUNNER_ENV_VAR, config.DEFAULT_RUNNER)
-        if runner not in ("thread", "process"):
-            raise ValueError(
-                f"runner must be 'thread' or 'process', got {runner!r}"
-            )
-        self._worker_pool: ShardWorkerPool | None = None
-        if runner == "process":
-            try:
-                ensure_picklable(pool.factory)
-            except ValueError:
-                if requested_runner == "process":
-                    raise
-                # Environment-selected: degrade to the thread runner rather
-                # than refusing to serve (the env var is a deployment knob,
-                # not a per-call contract).
-                runner = "thread"
-                self.telemetry.increment("runner_fallbacks")
-        self.runner = runner
         self.workers = (
-            int(workers)
-            if workers is not None
-            else config.default_pool_size(
-                None, kind="process" if runner == "process" else "thread"
-            )
+            int(workers) if workers is not None else config.default_pool_size(None)
         )
-        if runner == "process":
-            self._worker_pool = ShardWorkerPool(
-                pool.factory, workers=self.workers, telemetry=self.telemetry
-            )
         self._queue: queue.Queue = queue.Queue(maxsize=int(max_queue))
         self._accept_lock = threading.Lock()
         self._closed = False
@@ -573,11 +490,6 @@ class MicroBatchScheduler:
         if drain:
             self.drain(timeout)
         self._executor.shutdown(wait=True)
-        if self._worker_pool is not None:
-            # Runner threads have all returned, so no batch is in flight;
-            # closing here guarantees no orphaned worker process survives
-            # the scheduler.
-            self._worker_pool.close()
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self
@@ -614,10 +526,6 @@ class MicroBatchScheduler:
             "queued": self._queue.qsize(),
             "outstanding": outstanding,
             "workers": self.workers,
-            "runner": self.runner,
-            "worker_pool": (
-                self._worker_pool.stats() if self._worker_pool is not None else None
-            ),
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_seconds * 1e3,
             "effective_wait_ms": self.effective_wait_seconds() * 1e3,
@@ -644,13 +552,6 @@ class MicroBatchScheduler:
             deadlines.pop(key, None)
             priorities.pop(key, None)
             shard = key[0]
-            if self._worker_pool is not None:
-                # Process runner: no per-shard serialization.  Each worker
-                # owns its own session replica, so concurrent batches of one
-                # shard are exactly the point — hand every batch straight to
-                # a runner thread (which parks on its worker's response).
-                self._executor.submit(self._run_process_batch, shard, items)
-                return
             with self._shard_lock:
                 self._shard_queues.setdefault(shard, []).append(items)
                 if shard in self._shard_active:
@@ -840,23 +741,6 @@ class MicroBatchScheduler:
         finally:
             self.pool.release(entry)
 
-    def _run_process_batch(self, shard: Hashable, items: list[_QueuedItem]) -> None:
-        """Run one dispatched batch through the process runner.
-
-        The heavy lifting happens in a worker process; the parent session is
-        leased lazily (only if the degraded path actually runs) and released
-        when the batch settles.  Like ``_run_shard``, a dying runner fails
-        its own items instead of stranding them.
-        """
-        lease = _ShardLease(self, shard)
-        try:
-            self._run_batch(lease, items)
-        except BaseException as exc:
-            for item in items:
-                self._fail(item, exc)
-        finally:
-            lease.release()
-
     def _solve_fast(self, entry, to_solve: list[_QueuedItem]) -> list:
         """One batched ``fit_many`` dispatch with retry and breaker wiring."""
         breaker = self._breaker_for(entry.key)
@@ -865,51 +749,28 @@ class MicroBatchScheduler:
         while True:
             try:
                 start = time.perf_counter()
-                if self._worker_pool is not None:
+                with entry.lock:
                     if self.fault_plan is not None:
                         self.fault_plan.before_solve(entry.key, len(to_solve))
                     matrix = np.column_stack(
                         [item.request.measurements for item in to_solve]
                     )
-                    # Same single-bucket batch as the thread path below, but
-                    # dispatched to a pinned worker process; a dead or
-                    # timed-out worker raises WorkerCrashed (transient) and
-                    # lands in the shared retry/breaker machinery.
-                    results = self._worker_pool.solve_batch(
-                        entry.key,
-                        times=first.times,
-                        matrix=matrix,
+                    # All items share a batch key, so this is exactly one
+                    # session bucket: dispatch it as a single fit_many
+                    # call (one stacked multi-RHS solve per distinct
+                    # lambda) against the shard's warm session caches.
+                    results = entry.deconvolver.fit_many(
+                        first.times,
+                        matrix,
                         sigma=first.sigma,
-                        lams=None
+                        lam=None
                         if first.lam is None
                         else [item.request.lam for item in to_solve],
                         lambda_method=first.lambda_method,
                         lambda_grid=first.lambda_grid,
                         rng=first.rng,
+                        engine="batch",
                     )
-                else:
-                    with entry.lock:
-                        if self.fault_plan is not None:
-                            self.fault_plan.before_solve(entry.key, len(to_solve))
-                        matrix = np.column_stack(
-                            [item.request.measurements for item in to_solve]
-                        )
-                        # All items share a batch key, so this is exactly one
-                        # session bucket: dispatch it as a single fit_many
-                        # call (one stacked multi-RHS solve per distinct
-                        # lambda) against the shard's warm session caches.
-                        results = entry.deconvolver.fit_many(
-                            first.times,
-                            matrix,
-                            sigma=first.sigma,
-                            lam=None
-                            if first.lam is None
-                            else [item.request.lam for item in to_solve],
-                            lambda_method=first.lambda_method,
-                            lambda_grid=first.lambda_grid,
-                            rng=first.rng,
-                            engine="batch",
-                        )
                 self._observe_solve(time.perf_counter() - start, len(to_solve))
                 breaker.record_success()
                 return results

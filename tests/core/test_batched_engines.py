@@ -282,30 +282,6 @@ class TestFitManyBatched:
         for a, b in zip(results, reference):
             np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
 
-    def test_process_engine_smoke(
-        self, small_kernel, paper_parameters, measurement_times, species_matrix
-    ):
-        """The process-pool escape hatch reproduces the serial results."""
-        deconvolver = Deconvolver(small_kernel, parameters=paper_parameters, num_basis=12)
-        results = deconvolver.fit_many(
-            measurement_times,
-            species_matrix[:, :2],
-            lam=1e-3,
-            engine="process",
-            workers=2,
-        )
-        reference = Deconvolver(
-            small_kernel, parameters=paper_parameters, num_basis=12
-        ).fit_many(
-            measurement_times,
-            species_matrix[:, :2],
-            lam=1e-3,
-            engine="serial",
-            warm_start_chain=False,
-        )
-        for a, b in zip(results, reference):
-            np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
-
     def test_unknown_engine_rejected(
         self, small_kernel, paper_parameters, measurement_times, species_matrix
     ):

@@ -126,8 +126,12 @@ class TestRateContinuity:
         grid = np.linspace(0.0, 1.0, 40001)
         density = params.transition_phase_density(grid)
         density = density / np.trapezoid(density, grid)
-        beta = 0.4 / (1.0 - grid)
-        beta_density = np.where(density > 1e-300, beta * density, 0.0)
+        # beta is only needed where the density is positive; elsewhere (in
+        # particular at grid == 1, where 1 - grid vanishes) it stays zero.
+        beta = np.divide(
+            0.4, 1.0 - grid, out=np.zeros_like(grid), where=density > 1e-300
+        )
+        beta_density = beta * density
         beta0 = np.trapezoid(beta_density, grid)
         f = basis.profile(alpha, grid)
         f_prime = basis.profile_derivative(alpha, grid)

@@ -308,6 +308,14 @@ class TestFitValidation:
         with pytest.raises(ProtocolError):
             WireFit.from_payload({"times": [1.0, True], "measurements": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("deadline_ms", [0, 0.0, -5, float("nan")])
+    def test_non_positive_deadline_rejected(self, deadline_ms):
+        # A deadline no request can meet is a 400, not a transient 503 shed.
+        with pytest.raises(ProtocolError):
+            WireFit.from_payload(
+                {"times": [1.0], "measurements": [1.0], "deadline_ms": deadline_ms}
+            )
+
     def test_non_integer_seed_rejected(self):
         with pytest.raises(ProtocolError):
             WireFit.from_payload(

@@ -1,9 +1,10 @@
 """Tests for the sharded, LRU-bounded session pool."""
 
+import numpy as np
 import pytest
 
 from repro.core.deconvolver import Deconvolver
-from repro.service import SessionPool
+from repro.service import SessionFactory, SessionPool
 
 
 class CountingFactory:
@@ -108,3 +109,23 @@ class TestSessionPool:
             SessionPool(factory, max_entries=0)
         with pytest.raises(ValueError):
             SessionPool(factory, max_bytes=-1)
+
+
+class TestSessionFactory:
+    def test_builds_configured_deconvolvers_with_kernels(
+        self, paper_parameters, small_kernel
+    ):
+        factory = SessionFactory(
+            parameters=paper_parameters, num_basis=8, kernels=[small_kernel]
+        )
+        deconvolver = factory("any-key")
+        assert isinstance(deconvolver, Deconvolver)
+        assert deconvolver.basis.num_basis == 8
+        values = small_kernel.apply_function(lambda v: np.full_like(v, 1.0))
+        # The registered kernel serves the fit: it matches a deconvolver
+        # built directly on that kernel.
+        direct = Deconvolver(
+            small_kernel, parameters=paper_parameters, num_basis=8
+        ).fit(small_kernel.times, values, lam=1e-3)
+        built = deconvolver.fit(small_kernel.times, values, lam=1e-3)
+        assert np.max(np.abs(direct.coefficients - built.coefficients)) <= 1e-12

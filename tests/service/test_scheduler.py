@@ -220,6 +220,14 @@ class TestLifecycle:
             MicroBatchScheduler(pool, max_wait_ms=-1.0)
         with pytest.raises(ValueError):
             MicroBatchScheduler(pool, max_queue=0)
+        # A non-positive deadline is a bad request, not a (transient) shed.
+        for deadline_ms in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError):
+                FitRequest(
+                    times=np.array([1.0]),
+                    measurements=np.array([1.0]),
+                    deadline_ms=deadline_ms,
+                )
 
     def test_stats_shape(self, factory, workload):
         with MicroBatchScheduler(SessionPool(factory), max_wait_ms=0.5) as scheduler:

@@ -11,18 +11,14 @@ class TestDefaultPoolSize:
         assert config.default_pool_size(3) == 3
         assert config.default_pool_size(100) == config.DEFAULT_THREAD_POOL_CAP
 
-    def test_process_cap(self):
-        assert config.default_pool_size(100, kind="process") == config.DEFAULT_PROCESS_POOL_CAP
-        assert config.default_pool_size(2, kind="process") == 2
-
     def test_unbounded_gets_full_cap(self):
         assert config.default_pool_size(None) == config.DEFAULT_THREAD_POOL_CAP
-        assert config.default_pool_size(None, kind="process") == config.DEFAULT_PROCESS_POOL_CAP
 
     def test_at_least_one_worker(self):
         assert config.default_pool_size(0) == 1
         assert config.default_pool_size(-3) == 1
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        # Thread pools are the only kind: the sizing rule takes no pool kind.
+        with pytest.raises(TypeError):
             config.default_pool_size(4, kind="fiber")
